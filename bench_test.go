@@ -569,93 +569,29 @@ func BenchmarkNetsimHTTP(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimHTTPLegacyFraming is the same request loop with the
-// stdlib net/http client and server framing restored on both ends, so
-// the netsim-native fast path's win is visible in one bench run.
-func BenchmarkNetsimHTTPLegacyFraming(b *testing.B) {
-	netsim.SetLegacyNetHTTP(true)
-	defer netsim.SetLegacyNetHTTP(false)
+// BenchmarkFarmSiteStartup measures the cost of standing up (and
+// tearing down) one survey site — the operation the blocking/proxy
+// surveys repeat thousands of times per run: a map insert plus an IP
+// alias on the farm's shared listener.
+func BenchmarkFarmSiteStartup(b *testing.B) {
 	nw := netsim.New()
 	farm, err := webserver.NewFarm(nw, "203.0.113.240")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer farm.Close()
-	site, err := farm.StartSite(webserver.WildcardDisallowSite("bench-frames.test", "203.0.113.201"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := nw.HTTPClient("198.51.100.249")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(site.URL() + "/robots.txt")
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// BenchmarkNetsimHTTPLegacyDial is the same request loop over the
-// compatibility transport that dials a fresh connection per request —
-// the pre-optimization behaviour — so the pooling win is visible in one
-// bench run.
-func BenchmarkNetsimHTTPLegacyDial(b *testing.B) {
-	netsim.SetLegacyPerRequestDial(true)
-	defer netsim.SetLegacyPerRequestDial(false)
-	nw := netsim.New()
-	site, err := webserver.Start(nw, webserver.WildcardDisallowSite("bench-legacy.test", "203.0.113.202"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer site.Close()
-	client := nw.HTTPClient("198.51.100.251")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(site.URL() + "/robots.txt")
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// BenchmarkFarmSiteStartup measures the cost of standing up (and
-// tearing down) one survey site — the operation the blocking/proxy
-// surveys repeat thousands of times per run. Farm hosting turns the
-// per-site listener + accept loop + http.Server of the legacy path into
-// a map insert plus an IP alias.
-func BenchmarkFarmSiteStartup(b *testing.B) {
-	for _, legacy := range []bool{false, true} {
-		name := "farm"
-		if legacy {
-			name = "legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			webserver.SetLegacyPerSiteHosting(legacy)
-			defer webserver.SetLegacyPerSiteHosting(false)
-			nw := netsim.New()
-			farm, err := webserver.NewFarm(nw, "203.0.113.240")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer farm.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				site, err := farm.StartSite(webserver.Config{
-					Domain: "startup.test", IP: "203.0.113.203",
-					Pages: webserver.ContentPages("startup.test"),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := site.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
+		site, err := farm.StartSite(webserver.Config{
+			Domain: "startup.test", IP: "203.0.113.203",
+			Pages: webserver.ContentPages("startup.test"),
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := site.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

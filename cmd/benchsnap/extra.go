@@ -1,9 +1,9 @@
 package main
 
 // Benchmarks that exercise APIs introduced together with this tool (the
-// legacy-transport compatibility knob and the shared robots parse
-// cache). They live apart from main.go so the common subset there can be
-// compiled against older revisions when reconstructing a baseline.
+// site farm, the policyd wires and the shared robots parse cache). They
+// live apart from main.go so the common subset there can be compiled
+// against older revisions when reconstructing a baseline.
 
 import (
 	"bytes"
@@ -26,10 +26,8 @@ import (
 const snapBatchSize = 256
 
 // benchNetsimHTTP measures one keep-alive GET round trip through a farm
-// site, on the fast path or with the stdlib-net/http knob on.
-func benchNetsimHTTP(b *testing.B, legacy bool) {
-	netsim.SetLegacyNetHTTP(legacy)
-	defer netsim.SetLegacyNetHTTP(false)
+// site.
+func benchNetsimHTTP(b *testing.B) {
 	nw := netsim.New()
 	farm, err := webserver.NewFarm(nw, "203.0.113.241")
 	if err != nil {
@@ -52,11 +50,8 @@ func benchNetsimHTTP(b *testing.B, legacy bool) {
 	}
 }
 
-// benchSiteStartup measures one site start/stop cycle under either
-// hosting mode.
-func benchSiteStartup(b *testing.B, legacy bool) {
-	webserver.SetLegacyPerSiteHosting(legacy)
-	defer webserver.SetLegacyPerSiteHosting(false)
+// benchSiteStartup measures one farm site start/stop cycle.
+func benchSiteStartup(b *testing.B) {
 	nw := netsim.New()
 	farm, err := webserver.NewFarm(nw, "203.0.113.240")
 	if err != nil {
@@ -145,47 +140,13 @@ func init() {
 }
 
 func init() {
-	register("netsim_http_legacy_dial", func(b *testing.B) {
-		netsim.SetLegacyPerRequestDial(true)
-		defer netsim.SetLegacyPerRequestDial(false)
-		nw := netsim.New()
-		site, err := webserver.Start(nw, webserver.WildcardDisallowSite("snap-legacy.test", "203.0.113.212"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer site.Close()
-		client := nw.HTTPClient("198.51.100.211")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := client.Get(site.URL() + "/robots.txt")
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	})
+	// farm_site_startup is the hosting unit cost: registering one site
+	// with the shared-listener farm, then removing it.
+	register("farm_site_startup", benchSiteStartup)
 
-	// farm_site_startup vs legacy_site_startup isolates the hosting
-	// redesign's unit saving: registering one site with the shared-
-	// listener farm against standing up a dedicated per-site server.
-	register("farm_site_startup", func(b *testing.B) {
-		benchSiteStartup(b, false)
-	})
-	register("legacy_site_startup", func(b *testing.B) {
-		benchSiteStartup(b, true)
-	})
-
-	// netsim_http_fast / netsim_http_legacy isolate the PR 6 framing
-	// rewrite: the same request loop as netsim_http on the netsim-native
-	// fast path (the default) and with the knob forcing stdlib net/http
-	// on both client and servers.
-	register("netsim_http_fast", func(b *testing.B) {
-		benchNetsimHTTP(b, false)
-	})
-	register("netsim_http_legacy", func(b *testing.B) {
-		benchNetsimHTTP(b, true)
-	})
+	// netsim_http_fast is the request loop of netsim_http on its own
+	// farm; the instrumentation pair below reuses it.
+	register("netsim_http_fast", benchNetsimHTTP)
 
 	// policyd_http_batch vs policyd_frame_batch is the serving-layer wire
 	// comparison: identical 256-query batches from one warmed service,
@@ -267,12 +228,12 @@ func init() {
 	// pair's mutual delta isolates it exactly.
 	register("netsim_http_instrumented", func(b *testing.B) {
 		obs.SetEnabled(true)
-		benchNetsimHTTP(b, false)
+		benchNetsimHTTP(b)
 	})
 	register("netsim_http_noobs", func(b *testing.B) {
 		obs.SetEnabled(false)
 		defer obs.SetEnabled(true)
-		benchNetsimHTTP(b, false)
+		benchNetsimHTTP(b)
 	})
 
 	// policyd_decide with recording disabled, against the default

@@ -67,9 +67,8 @@ type entry struct {
 // registry holds the suite in execution order. Entries that exercise
 // APIs introduced alongside this tool register themselves from extra.go;
 // everything in this file exercises the repo's current production paths
-// (hosting moved from per-site webserver.Start to the shared-listener
-// webserver.Farm, and these entries moved with it), so snapshots track
-// what the experiments actually run.
+// (sites are hosted on a shared-listener webserver.Farm, as in the
+// experiments), so snapshots track what the experiments actually run.
 var registry []entry
 
 func register(name string, fn func(b *testing.B)) {

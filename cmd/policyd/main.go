@@ -99,13 +99,13 @@ func run(addr, frameAddr, watchAddr, metricsAddr string, seed int64, scale float
 	svc := policyd.NewService(snap)
 	fmt.Fprintf(os.Stderr, "policyd: serving %s on %s\n", snap, addr)
 
-	srv := &http.Server{Addr: addr, Handler: policyd.NewHandler(svc)}
+	srv := policyd.NewServer(addr, policyd.NewHandler(svc))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
 	var metricsSrv *http.Server
 	if metricsAddr != "" {
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux()}
+		metricsSrv = policyd.NewServer(metricsAddr, metricsMux())
 		fmt.Fprintf(os.Stderr, "policyd: metrics and pprof on %s\n", metricsAddr)
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

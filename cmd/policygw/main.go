@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/policyd"
 )
 
 func main() {
@@ -129,7 +130,7 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s, watch %s)\n", rc.BaseURL, rc.FrameAddr, rc.WatchAddr)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: gw.Handler()}
+	srv := policyd.NewServer(addr, gw.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "policygw: routing %d replicas on %s\n", len(rcs), addr)
@@ -166,7 +167,7 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler())
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
+		metricsSrv = policyd.NewServer(metricsAddr, mux)
 		fmt.Fprintf(os.Stderr, "policygw: metrics on %s\n", metricsAddr)
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -2,61 +2,36 @@ package blocking
 
 import (
 	"context"
-	"reflect"
+	"sync"
 	"testing"
 
-	"repro/internal/netsim"
-	"repro/internal/webserver"
+	"repro/internal/golden"
 )
 
-// TestFarmHostingParitySurvey runs the §6.2 survey with the whole
-// population on one virtual-host farm and with the compatibility knob
-// forcing a dedicated server per site, asserting the aggregate result is
-// identical — the hosting redesign must change no verdict.
-func TestFarmHostingParitySurvey(t *testing.T) {
-	run := func(legacy bool) *SurveyResult {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := RunSurvey(context.Background(), 300, 11, 8, DefaultDetector)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// testdata/survey.golden.json is the §6.2 survey as per-site servers
+// and stdlib net/http produced it; both agreed byte for byte with the
+// farm-hosted fast path before those oracles were retired. The survey
+// runs once per test binary.
+var survey = sync.OnceValues(func() (*SurveyResult, error) {
+	return RunSurvey(context.Background(), 300, 11, 8, DefaultDetector)
+})
+
+func checkSurveyGolden(t *testing.T) {
+	t.Parallel()
+	res, err := survey()
+	if err != nil {
+		t.Fatal(err)
 	}
-	farm := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(farm, legacy) {
-		t.Errorf("survey diverged:\nfarm:   %+v\nlegacy: %+v", farm, legacy)
+	if res.ActiveBlockers == 0 || res.InherentlyBlocked == 0 {
+		t.Errorf("degenerate survey result: %+v", res)
 	}
-	if farm.ActiveBlockers == 0 || farm.InherentlyBlocked == 0 {
-		t.Errorf("degenerate survey result: %+v", farm)
-	}
+	golden.JSON(t, "survey", res)
 }
 
-// TestFastHTTPParitySurvey runs the §6.2 survey on the netsim-native
-// fast HTTP path (the default) and with the compatibility knob forcing
-// stdlib net/http on both sides, asserting the aggregate result is
-// identical — the hand-rolled framing must change no verdict.
-func TestFastHTTPParitySurvey(t *testing.T) {
-	run := func(legacy bool) *SurveyResult {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		res, err := RunSurvey(context.Background(), 300, 11, 8, DefaultDetector)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(fast, legacy) {
-		t.Errorf("survey diverged:\nfast:   %+v\nlegacy: %+v", fast, legacy)
-	}
-	if fast.ActiveBlockers == 0 || fast.InherentlyBlocked == 0 {
-		t.Errorf("degenerate survey result: %+v", fast)
-	}
-}
+// TestFarmHostingParitySurvey: hosting the whole population on one
+// virtual-host farm changes no verdict of the per-site-server survey.
+func TestFarmHostingParitySurvey(t *testing.T) { checkSurveyGolden(t) }
+
+// TestFastHTTPParitySurvey: the hand-rolled HTTP/1.1 framing changes no
+// verdict of the stdlib net/http survey.
+func TestFastHTTPParitySurvey(t *testing.T) { checkSurveyGolden(t) }

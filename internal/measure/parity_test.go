@@ -2,297 +2,139 @@ package measure
 
 import (
 	"context"
-	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/golden"
 	"repro/internal/netsim"
 	"repro/internal/webserver"
 )
 
-// comparableLog strips timestamps, which are wall-clock and not part of
-// the measurement contract; everything the analyses read stays.
-func comparableLog(recs []webserver.Record) []webserver.Record {
-	out := append([]webserver.Record(nil), recs...)
-	for i := range out {
-		out[i].Time = time.Time{}
-	}
-	return out
+// The parity goldens. Each file under testdata/ is the output of the
+// stdlib-era oracles — per-request dialing, stock net/http client and
+// server, one dedicated server per site — which agreed byte for byte
+// with the pooled, hand-rolled, farm-hosted path before those oracles
+// were retired. The tests below hold the remaining path to that output.
+// Each study runs once per test binary; the parity tests for the three
+// retired oracles share it.
+
+// passiveView is the part of the passive study the parity contract
+// covers: everything Table 1 is derived from.
+type passiveView struct {
+	Verdicts   map[string]Verdict
+	IPVerified map[string]bool
+	Visitors   []string
 }
 
-// TestKeepAliveParityPassiveStudy runs the full §5 passive study with the
-// pooled keep-alive transport and with the compatibility knob forcing the
-// old per-request dial, asserting identical verdicts — the transport must
-// be invisible to the measurement.
-func TestKeepAliveParityPassiveStudy(t *testing.T) {
-	run := func(legacy bool) *PassiveResult {
-		if legacy {
-			netsim.SetLegacyPerRequestDial(true)
-			defer netsim.SetLegacyPerRequestDial(false)
-		}
-		res, err := RunPassive(context.Background(), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+var passiveStudy = sync.OnceValues(func() (*PassiveResult, error) {
+	return RunPassive(context.Background(), 7)
+})
+
+func checkPassiveGolden(t *testing.T) {
+	t.Parallel()
+	res, err := passiveStudy()
+	if err != nil {
+		t.Fatal(err)
 	}
-	pooled := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(pooled.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\npooled: %v\nlegacy: %v", pooled.Verdicts, legacy.Verdicts)
-	}
-	if !reflect.DeepEqual(pooled.IPVerified, legacy.IPVerified) {
-		t.Errorf("IP verification diverged:\npooled: %v\nlegacy: %v", pooled.IPVerified, legacy.IPVerified)
-	}
-	if !reflect.DeepEqual(pooled.Visitors, legacy.Visitors) {
-		t.Errorf("visitor sets diverged:\npooled: %v\nlegacy: %v", pooled.Visitors, legacy.Visitors)
-	}
+	golden.JSON(t, "passive_study", passiveView{res.Verdicts, res.IPVerified, res.Visitors})
 }
 
-// TestKeepAliveParityServerLogs drives one crawler fleet at an
-// instrumented site under both transports and asserts the server logs are
-// identical record for record (everything but wall-clock time): same
-// source IPs, same user agents, same paths in the same order, same
-// statuses and byte counts.
-func TestKeepAliveParityServerLogs(t *testing.T) {
-	capture := func(legacy bool) []webserver.Record {
-		if legacy {
-			netsim.SetLegacyPerRequestDial(true)
-			defer netsim.SetLegacyPerRequestDial(false)
-		}
-		nw := netsim.New()
-		site, err := webserver.Start(nw, webserver.WildcardDisallowSite("parity.test", "203.0.113.90"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer site.Close()
-		profiles := []crawler.Profile{
-			{Token: "GPTBot", SourceIP: "24.0.1.10", Behavior: crawler.Compliant},
-			{Token: "Bytespider", SourceIP: "30.0.1.10", Behavior: crawler.FetchIgnore},
-			{Token: "WebFetcher", SourceIP: "100.64.0.10", Behavior: crawler.NoFetch},
-			{Token: "BuggyBot", SourceIP: "100.65.0.10", Behavior: crawler.BuggyFetch},
-		}
-		ctx := context.Background()
-		for _, p := range profiles {
-			cr, err := crawler.New(nw, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two waves each: keep-alive reuses connections across waves,
-			// per-request dial opens one per request.
-			for wave := 0; wave < 2; wave++ {
-				if _, err := cr.Crawl(ctx, site.URL()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return site.Log()
-	}
-	pooled := comparableLog(capture(false))
-	legacy := comparableLog(capture(true))
-	if len(pooled) == 0 {
-		t.Fatal("no traffic captured")
-	}
-	if !reflect.DeepEqual(pooled, legacy) {
-		if len(pooled) != len(legacy) {
-			t.Fatalf("log lengths diverged: pooled %d, legacy %d", len(pooled), len(legacy))
-		}
-		for i := range pooled {
-			if pooled[i] != legacy[i] {
-				t.Fatalf("log record %d diverged:\npooled: %+v\nlegacy: %+v", i, pooled[i], legacy[i])
-			}
-		}
-	}
-}
+// TestKeepAliveParityPassiveStudy: pooled keep-alive connections leave
+// the §5 passive study as the per-request-dial transport produced it.
+func TestKeepAliveParityPassiveStudy(t *testing.T) { checkPassiveGolden(t) }
 
-// TestFastHTTPParityPassiveStudy runs the full §5 passive study on the
-// netsim-native fast HTTP path (the default) and with the compatibility
-// knob forcing stdlib net/http on both sides, asserting identical
-// results — the hand-rolled framing must be invisible to the
-// measurement.
-func TestFastHTTPParityPassiveStudy(t *testing.T) {
-	run := func(legacy bool) *PassiveResult {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		res, err := RunPassive(context.Background(), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(fast.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfast:   %v\nlegacy: %v", fast.Verdicts, legacy.Verdicts)
-	}
-	if !reflect.DeepEqual(fast.IPVerified, legacy.IPVerified) {
-		t.Errorf("IP verification diverged:\nfast:   %v\nlegacy: %v", fast.IPVerified, legacy.IPVerified)
-	}
-	if !reflect.DeepEqual(fast.Visitors, legacy.Visitors) {
-		t.Errorf("visitor sets diverged:\nfast:   %v\nlegacy: %v", fast.Visitors, legacy.Visitors)
-	}
-}
+// TestFastHTTPParityPassiveStudy: the hand-rolled HTTP/1.1 framing
+// leaves the passive study as stdlib net/http produced it.
+func TestFastHTTPParityPassiveStudy(t *testing.T) { checkPassiveGolden(t) }
 
-// TestFastHTTPParityServerLogs drives the crawler fleet at one site under
-// the fast path and under stdlib net/http, asserting the server logs are
-// identical record for record (everything but wall-clock time): same
-// source IPs, same user agents, same paths in the same order, same
-// statuses and byte counts.
-func TestFastHTTPParityServerLogs(t *testing.T) {
-	capture := func(legacy bool) []webserver.Record {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		nw := netsim.New()
-		site, err := webserver.Start(nw, webserver.WildcardDisallowSite("parity.test", "203.0.113.90"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer site.Close()
-		profiles := []crawler.Profile{
-			{Token: "GPTBot", SourceIP: "24.0.1.10", Behavior: crawler.Compliant},
-			{Token: "Bytespider", SourceIP: "30.0.1.10", Behavior: crawler.FetchIgnore},
-			{Token: "WebFetcher", SourceIP: "100.64.0.10", Behavior: crawler.NoFetch},
-			{Token: "BuggyBot", SourceIP: "100.65.0.10", Behavior: crawler.BuggyFetch},
-		}
-		ctx := context.Background()
-		for _, p := range profiles {
-			cr, err := crawler.New(nw, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for wave := 0; wave < 2; wave++ {
-				if _, err := cr.Crawl(ctx, site.URL()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return site.Log()
-	}
-	fast := comparableLog(capture(false))
-	legacy := comparableLog(capture(true))
-	if len(fast) == 0 {
-		t.Fatal("no traffic captured")
-	}
-	if !reflect.DeepEqual(fast, legacy) {
-		if len(fast) != len(legacy) {
-			t.Fatalf("log lengths diverged: fast %d, legacy %d", len(fast), len(legacy))
-		}
-		for i := range fast {
-			if fast[i] != legacy[i] {
-				t.Fatalf("log record %d diverged:\nfast:   %+v\nlegacy: %+v", i, fast[i], legacy[i])
-			}
-		}
-	}
-}
+// TestFarmHostingParityPassiveStudy: virtual-host dispatch on a shared
+// listener leaves the passive study as per-site servers produced it.
+func TestFarmHostingParityPassiveStudy(t *testing.T) { checkPassiveGolden(t) }
 
-// TestFarmHostingParityPassiveStudy runs the full §5 passive study under
-// farm hosting (the default) and with the compatibility knob forcing the
-// legacy per-site servers, asserting identical results — virtual-host
-// dispatch on the shared listener must be invisible to the measurement.
-func TestFarmHostingParityPassiveStudy(t *testing.T) {
-	run := func(legacy bool) *PassiveResult {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := RunPassive(context.Background(), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	farm := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(farm.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfarm:   %v\nlegacy: %v", farm.Verdicts, legacy.Verdicts)
-	}
-	if !reflect.DeepEqual(farm.IPVerified, legacy.IPVerified) {
-		t.Errorf("IP verification diverged:\nfarm:   %v\nlegacy: %v", farm.IPVerified, legacy.IPVerified)
-	}
-	if !reflect.DeepEqual(farm.Visitors, legacy.Visitors) {
-		t.Errorf("visitor sets diverged:\nfarm:   %v\nlegacy: %v", farm.Visitors, legacy.Visitors)
-	}
-}
-
-// TestFarmHostingParityActiveStudy covers the §5.2.2 active study, whose
-// probe sites join and leave the farm mid-run.
+// TestFarmHostingParityActiveStudy covers the §5.2.2 active study,
+// whose probe sites join and leave the farm mid-run.
 func TestFarmHostingParityActiveStudy(t *testing.T) {
-	run := func(legacy bool) *ActiveResult {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := RunActive(context.Background(), 7, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	t.Parallel()
+	res, err := RunActive(context.Background(), 7, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
-	farm := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(farm, legacy) {
-		t.Errorf("active study diverged:\nfarm:   %+v\nlegacy: %+v", farm, legacy)
-	}
+	golden.JSON(t, "active_study", res)
 }
 
-// TestFarmHostingParityServerLogs drives the crawler fleet at one site
-// hosted both ways and asserts the server logs are identical record for
-// record (everything but wall-clock time): same source IPs, same user
-// agents, same paths in the same order, same statuses and byte counts.
-func TestFarmHostingParityServerLogs(t *testing.T) {
-	capture := func(legacy bool) []webserver.Record {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		nw := netsim.New()
-		farm, err := webserver.NewFarm(nw, "203.0.113.91")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer farm.Close()
-		site, err := farm.StartSite(webserver.WildcardDisallowSite("parity.test", "203.0.113.90"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles := []crawler.Profile{
-			{Token: "GPTBot", SourceIP: "24.0.1.10", Behavior: crawler.Compliant},
-			{Token: "Bytespider", SourceIP: "30.0.1.10", Behavior: crawler.FetchIgnore},
-			{Token: "WebFetcher", SourceIP: "100.64.0.10", Behavior: crawler.NoFetch},
-			{Token: "BuggyBot", SourceIP: "100.65.0.10", Behavior: crawler.BuggyFetch},
-		}
-		ctx := context.Background()
-		for _, p := range profiles {
-			cr, err := crawler.New(nw, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for wave := 0; wave < 2; wave++ {
-				if _, err := cr.Crawl(ctx, site.URL()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return site.Log()
+// logRecord is a server-log record without its wall-clock time, which
+// is not part of the measurement contract: same source IPs, user
+// agents, paths in the same order, statuses and byte counts.
+type logRecord struct {
+	RemoteIP  string
+	UserAgent string
+	Path      string
+	Status    int
+	Bytes     int
+}
+
+var crawlFleetLog = sync.OnceValues(captureCrawlFleetLog)
+
+// captureCrawlFleetLog drives four crawlers of different behaviours at
+// one farm-hosted site, two waves each, and returns the site's log.
+func captureCrawlFleetLog() ([]logRecord, error) {
+	nw := netsim.New()
+	farm, err := webserver.NewFarm(nw, "203.0.113.91")
+	if err != nil {
+		return nil, err
 	}
-	farm := comparableLog(capture(false))
-	legacy := comparableLog(capture(true))
-	if len(farm) == 0 {
+	defer farm.Close()
+	site, err := farm.StartSite(webserver.WildcardDisallowSite("parity.test", "203.0.113.90"))
+	if err != nil {
+		return nil, err
+	}
+	profiles := []crawler.Profile{
+		{Token: "GPTBot", SourceIP: "24.0.1.10", Behavior: crawler.Compliant},
+		{Token: "Bytespider", SourceIP: "30.0.1.10", Behavior: crawler.FetchIgnore},
+		{Token: "WebFetcher", SourceIP: "100.64.0.10", Behavior: crawler.NoFetch},
+		{Token: "BuggyBot", SourceIP: "100.65.0.10", Behavior: crawler.BuggyFetch},
+	}
+	ctx := context.Background()
+	for _, p := range profiles {
+		cr, err := crawler.New(nw, p)
+		if err != nil {
+			return nil, err
+		}
+		// Two waves each: pooled connections carry over between waves.
+		for wave := 0; wave < 2; wave++ {
+			if _, err := cr.Crawl(ctx, site.URL()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var out []logRecord
+	for _, r := range site.Log() {
+		out = append(out, logRecord{r.RemoteIP, r.UserAgent, r.Path, r.Status, r.Bytes})
+	}
+	return out, nil
+}
+
+func checkServerLogGolden(t *testing.T) {
+	t.Parallel()
+	recs, err := crawlFleetLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
 		t.Fatal("no traffic captured")
 	}
-	if !reflect.DeepEqual(farm, legacy) {
-		if len(farm) != len(legacy) {
-			t.Fatalf("log lengths diverged: farm %d, legacy %d", len(farm), len(legacy))
-		}
-		for i := range farm {
-			if farm[i] != legacy[i] {
-				t.Fatalf("log record %d diverged:\nfarm:   %+v\nlegacy: %+v", i, farm[i], legacy[i])
-			}
-		}
-	}
+	golden.JSON(t, "server_log", recs)
 }
+
+// TestKeepAliveParityServerLogs: the crawler fleet's server log, record
+// for record, as the per-request-dial transport produced it.
+func TestKeepAliveParityServerLogs(t *testing.T) { checkServerLogGolden(t) }
+
+// TestFastHTTPParityServerLogs: the same log as stdlib net/http on both
+// ends produced it.
+func TestFastHTTPParityServerLogs(t *testing.T) { checkServerLogGolden(t) }
+
+// TestFarmHostingParityServerLogs: the same log as a dedicated per-site
+// server produced it.
+func TestFarmHostingParityServerLogs(t *testing.T) { checkServerLogGolden(t) }

@@ -10,27 +10,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// legacyNetHTTP restores the pre-fast-path transport stack: HTTPClient
-// hands out a stock net/http Transport and the webserver packages serve
-// with stock http.Servers, exactly as PR 3–5 did. It exists as a
-// compatibility knob so parity tests can prove the hand-rolled HTTP/1.1
-// fast path leaves verdicts and server logs bit-identical; production
-// paths never set it.
-var legacyNetHTTP atomic.Bool
-
-// SetLegacyNetHTTP toggles the compatibility HTTP stack for clients and
-// servers created after the call: when enabled, HTTPClient returns a
-// stdlib-transport client and webserver hosting uses stock http.Servers.
-func SetLegacyNetHTTP(enabled bool) { legacyNetHTTP.Store(enabled) }
-
-// LegacyNetHTTP reports whether the compatibility HTTP stack is on.
-func LegacyNetHTTP() bool { return legacyNetHTTP.Load() }
 
 // The netsim-native HTTP/1.1 fast path.
 //
@@ -38,13 +21,14 @@ func LegacyNetHTTP() bool { return legacyNetHTTP.Load() }
 // stdlib net/http: request/response serialization, MIME header maps, the
 // per-connection reader and writer goroutine pair, and a few dozen
 // allocations per exchange — all machinery for generality the closed
-// world behind netsim never uses. fastTransport is an http.RoundTripper
-// that speaks exactly the subset our traffic needs — GET/HEAD/POST, a
-// small fixed header set, Content-Length or chunked framing, keep-alive
-// pooling — straight over the buffered duplex conns, with pooled buffers
-// and no per-request goroutines. Anything outside that subset falls back
-// to a lazily built stdlib transport, so the http.Client surface is
-// unchanged.
+// world behind netsim never uses. fastTransport, the http.RoundTripper
+// behind every Network.HTTPClient, speaks exactly the subset our traffic
+// needs — GET/HEAD/POST, a small fixed header set, Content-Length or
+// chunked framing, keep-alive pooling — straight over the buffered
+// duplex conns, with pooled buffers and no per-request goroutines.
+// Anything outside that subset (other methods, bodies of unknown length,
+// trailers) falls back to a lazily built stdlib transport, so the
+// http.Client surface is unchanged.
 
 const (
 	fastMaxIdlePerHost = 2  // matches the stdlib transport config it replaces

@@ -242,3 +242,61 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 		t.Fatalf("context deadline took %v to fire", elapsed)
 	}
 }
+
+// TestFastClientStdlibFallback sends the requests the fast path does not
+// frame itself — a PUT, a POST of unknown length, a request with
+// trailers — through HTTPClient. Each must be answered correctly by way
+// of the stdlib fallback transport and be counted on the path="legacy"
+// series only.
+func TestFastClientStdlibFallback(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.70", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		// Trailers are readable only once the body is drained.
+		fmt.Fprintf(w, "%s %q te=%v sum=%s", r.Method, body, r.TransferEncoding, r.Trailer.Get("X-Sum"))
+	})}
+	go srv.Serve(ln)
+	defer srv.Close()
+	client := nw.HTTPClient("198.51.100.70")
+
+	put, _ := http.NewRequest(http.MethodPut, "http://203.0.113.70/put", strings.NewReader("put-body"))
+	unknownLen, _ := http.NewRequest(http.MethodPost, "http://203.0.113.70/stream", io.NopCloser(strings.NewReader("streamed")))
+	unknownLen.ContentLength = -1
+	// An opaque body leaves ContentLength 0, which the fast path alone
+	// would frame; only the trailer sends this one to the fallback.
+	trailer, _ := http.NewRequest(http.MethodPost, "http://203.0.113.70/trailer", io.NopCloser(strings.NewReader("with-trailer")))
+	trailer.Trailer = http.Header{"X-Sum": {"42"}}
+	for _, tc := range []struct {
+		req  *http.Request
+		want string
+	}{
+		{put, `PUT "put-body" te=[] sum=`},
+		{unknownLen, `POST "streamed" te=[chunked] sum=`},
+		{trailer, `POST "with-trailer" te=[chunked] sum=42`},
+	} {
+		fast, legacy := mHTTPFastRequests.Value(), mHTTPLegacyRequests.Value()
+		resp, err := client.Do(tc.req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.req.Method, tc.req.URL.Path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || string(body) != tc.want {
+			t.Fatalf("%s %s = %d %q (%v), want 200 %q", tc.req.Method, tc.req.URL.Path, resp.StatusCode, body, err, tc.want)
+		}
+		if d := mHTTPLegacyRequests.Value() - legacy; d != 1 {
+			t.Errorf("%s %s: path=\"legacy\" counter moved by %d, want 1", tc.req.Method, tc.req.URL.Path, d)
+		}
+		if d := mHTTPFastRequests.Value() - fast; d != 0 {
+			t.Errorf("%s %s: path=\"fast\" counter moved by %d, want 0", tc.req.Method, tc.req.URL.Path, d)
+		}
+	}
+}

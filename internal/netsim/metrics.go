@@ -4,10 +4,11 @@ import "repro/internal/obs"
 
 // Fast-path HTTP client metrics. Registered at init so the families
 // appear in /metrics (with zero values) in any binary that links
-// netsim, traffic or not. The legacy-vs-fast split is a label on one
-// family: path="fast" is the hand-rolled framing, path="legacy" is a
-// request the fast transport handed to the stdlib fallback because it
-// fell outside the closed-world subset.
+// netsim, traffic or not. The framing split is a label on one family:
+// path="fast" is the hand-rolled framing; path="legacy" counts only the
+// requests the fast transport handed to its stdlib fallback because they
+// fell outside the closed-world subset (the label name predates the
+// fallback being the only stdlib path left).
 var (
 	mHTTPFastRequests = obs.NewCounter(`netsim_http_requests_total{path="fast"}`,
 		"HTTP requests through the netsim client, by framing path.")

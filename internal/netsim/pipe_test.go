@@ -211,14 +211,10 @@ func TestClosingListenerDrainsBacklog(t *testing.T) {
 
 // TestHTTPKeepAlivePoolsPerSourceAndTarget proves connection reuse: the
 // server sees one remote port across sequential requests from one
-// client, while the legacy knob restores a fresh dial (new ephemeral
-// port) per request.
+// HTTPClient, while a stdlib transport with keep-alives disabled dials a
+// fresh connection (new ephemeral port) per request.
 func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
-	remotePorts := func(legacy bool) []string {
-		if legacy {
-			SetLegacyPerRequestDial(true)
-			defer SetLegacyPerRequestDial(false)
-		}
+	remotePorts := func(client func(nw *Network) *http.Client) []string {
 		nw := New()
 		nw.Register("pool.test", "203.0.113.30")
 		ln, err := nw.Listen("203.0.113.30", 80)
@@ -236,9 +232,9 @@ func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
 		})}
 		go srv.Serve(ln)
 		defer srv.Close()
-		client := nw.HTTPClient("198.51.100.60")
+		c := client(nw)
 		for i := 0; i < 3; i++ {
-			resp, err := client.Get("http://pool.test/")
+			resp, err := c.Get("http://pool.test/")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,13 +246,18 @@ func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
 		return append([]string(nil), ports...)
 	}
 
-	pooled := remotePorts(false)
+	pooled := remotePorts(func(nw *Network) *http.Client { return nw.HTTPClient("198.51.100.60") })
 	if len(pooled) != 3 || pooled[0] != pooled[1] || pooled[1] != pooled[2] {
 		t.Fatalf("keep-alive requests used ports %v, want one reused port", pooled)
 	}
-	legacy := remotePorts(true)
-	if len(legacy) != 3 || legacy[0] == legacy[1] || legacy[1] == legacy[2] {
-		t.Fatalf("legacy per-request dial used ports %v, want distinct ports", legacy)
+	perRequest := remotePorts(func(nw *Network) *http.Client {
+		return &http.Client{Transport: &http.Transport{
+			DialContext:       nw.Dialer("198.51.100.60"),
+			DisableKeepAlives: true,
+		}}
+	})
+	if len(perRequest) != 3 || perRequest[0] == perRequest[1] || perRequest[1] == perRequest[2] {
+		t.Fatalf("per-request dial used ports %v, want distinct ports", perRequest)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // The JSON API, served identically over netsim (in-harness experiments)
@@ -13,6 +14,21 @@ import (
 //	POST /v1/batch  {"queries":[{...}]}     -> {"decisions":[{...}]}
 //	GET  /v1/stats                          -> {"queries":N,"version":...,"hosts":N,"shards":N}
 //	GET  /healthz                           -> ok
+
+// Timeouts of the daemons' real-TCP HTTP listeners (NewServer). Without
+// them a client that sends half a request header, or parks an idle
+// keep-alive connection, holds a goroutine and a socket forever.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns the http.Server cmd/policyd and cmd/policygw serve
+// their JSON API and metrics listeners with: h at addr, with the
+// header-read and idle timeouts set.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // DecisionJSON is a decision's wire form.
 type DecisionJSON struct {

@@ -2,62 +2,37 @@ package proxy
 
 import (
 	"context"
-	"reflect"
+	"sync"
 	"testing"
 
-	"repro/internal/netsim"
-	"repro/internal/webserver"
+	"repro/internal/golden"
 )
 
-// TestFarmHostingParityInferenceSurvey runs the §6.3 Figure 7 survey
-// with the proxied population on one virtual-host farm and with the
-// compatibility knob forcing per-site servers, asserting identical
-// classifications and robots correlations.
-func TestFarmHostingParityInferenceSurvey(t *testing.T) {
-	run := func(legacy bool) *CFSurveyResult {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := RunInferenceSurvey(context.Background(), 300, 11, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// testdata/inference_survey.golden.json is the §6.3 Figure 7 survey as
+// per-site servers and stdlib net/http produced it; both agreed byte for
+// byte with the farm-hosted fast path before those oracles were retired.
+// The proxied population mixes 403-with-body blocks and plain pages,
+// exercising both response shapes. The survey runs once per test binary.
+var inferenceSurvey = sync.OnceValues(func() (*CFSurveyResult, error) {
+	return RunInferenceSurvey(context.Background(), 300, 11, 8)
+})
+
+func checkInferenceGolden(t *testing.T) {
+	t.Parallel()
+	res, err := inferenceSurvey()
+	if err != nil {
+		t.Fatal(err)
 	}
-	farm := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(farm, legacy) {
-		t.Errorf("inference survey diverged:\nfarm:   %+v\nlegacy: %+v", farm, legacy)
+	if res.Inconclusive == 0 || res.OnBlock == 0 {
+		t.Errorf("degenerate survey result: %+v", res)
 	}
-	if farm.Inconclusive == 0 || farm.OnBlock == 0 {
-		t.Errorf("degenerate survey result: %+v", farm)
-	}
+	golden.JSON(t, "inference_survey", res)
 }
 
-// TestFastHTTPParityInferenceSurvey runs the §6.3 Figure 7 survey on the
-// netsim-native fast HTTP path (the default) and with the compatibility
-// knob forcing stdlib net/http on both sides, asserting identical
-// classifications and robots correlations. The proxied population mixes
-// 403-with-body blocks and plain pages, exercising both response shapes.
-func TestFastHTTPParityInferenceSurvey(t *testing.T) {
-	run := func(legacy bool) *CFSurveyResult {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		res, err := RunInferenceSurvey(context.Background(), 300, 11, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(false)
-	legacy := run(true)
-	if !reflect.DeepEqual(fast, legacy) {
-		t.Errorf("inference survey diverged:\nfast:   %+v\nlegacy: %+v", fast, legacy)
-	}
-	if fast.Inconclusive == 0 || fast.OnBlock == 0 {
-		t.Errorf("degenerate survey result: %+v", fast)
-	}
-}
+// TestFarmHostingParityInferenceSurvey: farm hosting leaves every
+// classification and robots correlation of the per-site-server survey.
+func TestFarmHostingParityInferenceSurvey(t *testing.T) { checkInferenceGolden(t) }
+
+// TestFastHTTPParityInferenceSurvey: the hand-rolled framing leaves
+// every classification and robots correlation of the stdlib survey.
+func TestFastHTTPParityInferenceSurvey(t *testing.T) { checkInferenceGolden(t) }

@@ -2,143 +2,57 @@ package scenario
 
 import (
 	"context"
-	"reflect"
+	"sync"
 	"testing"
 
-	"repro/internal/netsim"
-	"repro/internal/webserver"
+	"repro/internal/golden"
+	"repro/internal/measure"
 )
 
-// TestKeepAliveParityObservedScenario runs the observed-world builtin
-// with the pooled keep-alive transport and with the compatibility knob
-// forcing the old per-request dial, asserting the entire result —
-// monthly metrics, verdicts, totals — is identical. Crawl waves are real
-// HTTP, so this pins that transport pooling changed no measured byte.
-func TestKeepAliveParityObservedScenario(t *testing.T) {
+// testdata/observed_world.golden.json is the observed-world builtin as
+// the stdlib-era oracles ran it — per-request dialing, stock net/http on
+// client and servers, one dedicated server per site — all of which
+// agreed byte for byte with the pooled, hand-rolled, farm-hosted path
+// before they were retired. Crawl waves are real HTTP, and site sims
+// join and leave their shard's farm over the run, so this is the
+// broadest check: crawls, blockers, 421s and site churn. The run
+// happens once per test binary.
+
+// observedView is the part of a Result the parity contract covers.
+type observedView struct {
+	Months               []MonthMetrics
+	Verdicts             map[string]measure.Verdict
+	TotalVisits          int
+	TotalDisallowedBytes int64
+	TotalBlockedRequests int
+}
+
+var observedRun = sync.OnceValues(func() (*Result, error) {
+	return Run(context.Background(), Observed(11, 8, 12), 4)
+})
+
+func checkObservedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario parity run in -short mode")
 	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			netsim.SetLegacyPerRequestDial(true)
-			defer netsim.SetLegacyPerRequestDial(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	t.Parallel()
+	res, err := observedRun()
+	if err != nil {
+		t.Fatal(err)
 	}
-	pooled := run(false)
-	legacy := run(true)
-
-	if !reflect.DeepEqual(pooled.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\npooled: %v\nlegacy: %v", pooled.Verdicts, legacy.Verdicts)
-	}
-	if pooled.TotalVisits != legacy.TotalVisits ||
-		pooled.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		pooled.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: pooled (%d, %d, %d) vs legacy (%d, %d, %d)",
-			pooled.TotalVisits, pooled.TotalDisallowedBytes, pooled.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(pooled.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(pooled.Months), len(legacy.Months))
-	}
-	for m := range pooled.Months {
-		if !reflect.DeepEqual(pooled.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\npooled: %+v\nlegacy: %+v",
-				m, pooled.Months[m], legacy.Months[m])
-		}
-	}
+	golden.JSON(t, "observed_world", observedView{res.Months, res.Verdicts,
+		res.TotalVisits, res.TotalDisallowedBytes, res.TotalBlockedRequests})
 }
 
-// TestFastHTTPParityObservedScenario runs the observed-world builtin on
-// the netsim-native fast HTTP path (the default) and with the
-// compatibility knob forcing stdlib net/http on both client and servers,
-// asserting the entire result — monthly metrics, verdicts, totals — is
-// identical. This is the broadest parity check: crawls, blockers, 421s
-// from the farm, and site churn all run over the hand-rolled framing.
-func TestFastHTTPParityObservedScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scenario parity run in -short mode")
-	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(false)
-	legacy := run(true)
+// TestKeepAliveParityObservedScenario: transport pooling changed no
+// measured byte of the scenario.
+func TestKeepAliveParityObservedScenario(t *testing.T) { checkObservedGolden(t) }
 
-	if !reflect.DeepEqual(fast.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfast:   %v\nlegacy: %v", fast.Verdicts, legacy.Verdicts)
-	}
-	if fast.TotalVisits != legacy.TotalVisits ||
-		fast.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		fast.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: fast (%d, %d, %d) vs legacy (%d, %d, %d)",
-			fast.TotalVisits, fast.TotalDisallowedBytes, fast.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(fast.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(fast.Months), len(legacy.Months))
-	}
-	for m := range fast.Months {
-		if !reflect.DeepEqual(fast.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\nfast:   %+v\nlegacy: %+v",
-				m, fast.Months[m], legacy.Months[m])
-		}
-	}
-}
+// TestFastHTTPParityObservedScenario: the hand-rolled framing changed
+// no measured byte of the scenario.
+func TestFastHTTPParityObservedScenario(t *testing.T) { checkObservedGolden(t) }
 
-// TestFarmHostingParityObservedScenario runs the observed-world builtin
-// with the per-shard virtual-host farms and with the compatibility knob
-// forcing a dedicated server per site, asserting the entire result —
-// monthly metrics, verdicts, totals — is identical. Site sims join and
-// leave the shard farm over the run, so this also pins the
-// StartSite/Remove lifecycle against the measurement contract.
-func TestFarmHostingParityObservedScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scenario parity run in -short mode")
-	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	farm := run(false)
-	legacy := run(true)
-
-	if !reflect.DeepEqual(farm.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfarm:   %v\nlegacy: %v", farm.Verdicts, legacy.Verdicts)
-	}
-	if farm.TotalVisits != legacy.TotalVisits ||
-		farm.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		farm.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: farm (%d, %d, %d) vs legacy (%d, %d, %d)",
-			farm.TotalVisits, farm.TotalDisallowedBytes, farm.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(farm.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(farm.Months), len(legacy.Months))
-	}
-	for m := range farm.Months {
-		if !reflect.DeepEqual(farm.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\nfarm:   %+v\nlegacy: %+v",
-				m, farm.Months[m], legacy.Months[m])
-		}
-	}
-}
+// TestFarmHostingParityObservedScenario: the per-shard farms, including
+// their StartSite/Remove lifecycle, changed no measured byte of the
+// scenario.
+func TestFarmHostingParityObservedScenario(t *testing.T) { checkObservedGolden(t) }

@@ -68,7 +68,7 @@ func TestWriteCLFFromLiveSite(t *testing.T) {
 	// End to end: serve traffic, export CLF, parse it back, and verify
 	// the measurement pipeline could classify from the re-parsed log.
 	nw := newTestNetwork(t)
-	site, err := Start(nw, WildcardDisallowSite("clf.test", "203.0.113.30"))
+	site, err := startSite(t, nw, WildcardDisallowSite("clf.test", "203.0.113.30"))
 	if err != nil {
 		t.Fatal(err)
 	}

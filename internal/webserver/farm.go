@@ -1,7 +1,6 @@
 package webserver
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -13,30 +12,13 @@ import (
 	"repro/internal/netsim"
 )
 
-// legacyPerSiteHosting restores the pre-farm hosting behaviour: every
-// Farm.StartSite stands up a dedicated listener + http.Server for the
-// site, exactly as webserver.Start always did. It exists as a
-// compatibility knob so parity tests can prove that shared-listener
-// virtual-host dispatch leaves server logs and survey verdicts
-// bit-identical; production paths never set it.
-var legacyPerSiteHosting atomic.Bool
-
-// SetLegacyPerSiteHosting toggles the compatibility hosting mode for
-// farms created after the call: when enabled, NewFarm binds no shared
-// listener and each StartSite runs its own per-site server.
-func SetLegacyPerSiteHosting(enabled bool) { legacyPerSiteHosting.Store(enabled) }
-
-// LegacyPerSiteHosting reports whether the compatibility hosting mode is
-// on.
-func LegacyPerSiteHosting() bool { return legacyPerSiteHosting.Load() }
-
 // Farm hosts any number of sites on one netsim network behind a single
 // shared listener, dispatching each request to its site by the Host
-// header — name-based virtual hosting. Adding a site is a map insert
-// plus (when the site advertises its own IP) a virtual-IP alias of the
-// farm listener, instead of the listener + accept loop + http.Server a
-// per-site webserver.Start costs; at survey scale (thousands of sites
-// per network) that server spin-up used to be ~30% of the run.
+// header — name-based virtual hosting. It is the only way to host a
+// Site. Adding a site is a map insert plus (when the site advertises its
+// own IP) a virtual-IP alias of the farm listener, so surveys can stand
+// up thousands of sites per network without a listener, accept loop and
+// server each.
 //
 // Sites keep their full measurement contract under a farm: each site has
 // its own request log with the per-site global sequence, LogSince
@@ -48,13 +30,9 @@ func LegacyPerSiteHosting() bool { return legacyPerSiteHosting.Load() }
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.
 type Farm struct {
-	nw     *netsim.Network
-	ip     string
-	ln     net.Listener
-	srv    *http.Server
-	fsrv   *fastServer
-	done   chan struct{}
-	legacy bool
+	nw  *netsim.Network
+	ip  string
+	srv *fastServer
 
 	// gen invalidates per-connection dispatch memos: it bumps after every
 	// hosts-map mutation (StartSite, Remove, Close), so a memo stamped
@@ -71,14 +49,7 @@ type Farm struct {
 	closed    bool
 
 	unmatched atomic.Uint64
-
-	connMu sync.Mutex
-	conns  map[net.Conn]*farmConn
 }
-
-// farmConnKey carries a connection's shard carrier through the request
-// context.
-type farmConnKey struct{}
 
 // farmConn tracks one farm connection's per-site log shards. A
 // keep-alive connection normally speaks to a single site (transports
@@ -122,67 +93,19 @@ func (fc *farmConn) shardFor(s *Site) *logShard {
 // subsequently added with StartSite is served from this one listener;
 // sites whose Config.IP differs from the farm address are reachable at
 // their own IP via a netsim virtual-IP alias.
-//
-// When the legacy per-site hosting knob is on, the farm binds no
-// listener and StartSite hosts each site on a dedicated server instead —
-// same API, pre-farm mechanics — so parity tests can flip one switch and
-// compare.
 func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
+	ln, err := nw.Listen(ip, 80)
+	if err != nil {
+		return nil, fmt.Errorf("webserver: farm listener: %w", err)
+	}
 	f := &Farm{
 		nw:        nw,
 		ip:        ip,
 		hosts:     make(map[string]*Site),
 		members:   make(map[*Site]bool),
 		aliasRefs: make(map[string]int),
-		legacy:    legacyPerSiteHosting.Load(),
 	}
-	if f.legacy {
-		return f, nil
-	}
-	ln, err := nw.Listen(ip, 80)
-	if err != nil {
-		return nil, fmt.Errorf("webserver: farm listener: %w", err)
-	}
-	f.ln = ln
-	f.conns = make(map[net.Conn]*farmConn)
-	if !netsim.LegacyNetHTTP() {
-		f.fsrv = startFastServer(ln, fastHooks{
-			connOpen: func(c net.Conn) any {
-				fc := &farmConn{shards: make(map[*Site]*logShard)}
-				f.connMu.Lock()
-				f.conns[c] = fc
-				f.connMu.Unlock()
-				mFarmActiveConns.Add(1)
-				return fc
-			},
-			connClose: func(c net.Conn, _ any) { f.retireConn(c) },
-			serve: func(carrier any, w *fastResponseWriter, r *http.Request) {
-				f.handleReq(carrier.(*farmConn), w, r)
-			},
-		})
-		return f, nil
-	}
-	f.done = make(chan struct{})
-	f.srv = &http.Server{
-		Handler: http.HandlerFunc(f.dispatch),
-		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
-			fc := &farmConn{shards: make(map[*Site]*logShard)}
-			f.connMu.Lock()
-			f.conns[c] = fc
-			f.connMu.Unlock()
-			mFarmActiveConns.Add(1)
-			return context.WithValue(ctx, farmConnKey{}, fc)
-		},
-		ConnState: func(c net.Conn, st http.ConnState) {
-			if st == http.StateClosed || st == http.StateHijacked {
-				f.retireConn(c)
-			}
-		},
-	}
-	go func() {
-		defer close(f.done)
-		f.srv.Serve(ln)
-	}()
+	f.srv = startFastServer(ln, f)
 	return f, nil
 }
 
@@ -209,12 +132,8 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if f.legacy {
-		return f.startSiteLegacy(cfg)
-	}
 	domainKey := strings.ToLower(cfg.Domain)
-	s := newSite(cfg)
-	s.farm = f
+	s := newSite(cfg, f)
 
 	f.mu.Lock()
 	if f.closed {
@@ -227,7 +146,7 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 	}
 	if cfg.IP != f.ip {
 		if f.aliasRefs[cfg.IP] == 0 {
-			if err := f.nw.AddAlias(cfg.IP, 80, f.ln); err != nil {
+			if err := f.nw.AddAlias(cfg.IP, 80, f.srv.ln); err != nil {
 				f.mu.Unlock()
 				return nil, fmt.Errorf("webserver: site IP %s: %w", cfg.IP, err)
 			}
@@ -248,50 +167,9 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 	return s, nil
 }
 
-// startSiteLegacy hosts the site on its own server (compat knob path),
-// keeping the farm's duplicate-host contract and membership tracking so
-// Close tears the site down either way.
-func (f *Farm) startSiteLegacy(cfg Config) (*Site, error) {
-	domainKey := strings.ToLower(cfg.Domain)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("webserver: farm is closed")
-	}
-	if prev := f.hosts[domainKey]; prev != nil {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("webserver: host %q already registered on this farm", cfg.Domain)
-	}
-	f.mu.Unlock()
-
-	s, err := Start(f.nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.farm = f
-	f.mu.Lock()
-	// Re-check under the lock: a concurrent StartSite for the same host
-	// may have won the race since the pre-flight check, and it must not
-	// be silently shadowed.
-	if f.closed || f.hosts[domainKey] != nil {
-		closed := f.closed
-		f.mu.Unlock()
-		s.shutdownServer()
-		if closed {
-			return nil, fmt.Errorf("webserver: farm is closed")
-		}
-		return nil, fmt.Errorf("webserver: host %q already registered on this farm", cfg.Domain)
-	}
-	f.hosts[domainKey] = s
-	f.members[s] = true
-	f.mu.Unlock()
-	f.gen.Add(1)
-	return s, nil
-}
-
 // Remove takes a site out of the farm: its Host stops resolving (421),
-// its IP alias is released once no other site advertises it, and — in
-// legacy mode — its dedicated server shuts down. The site's log remains
+// its IP alias is released once no other site advertises it, and the
+// connections that served it are closed. The site's log remains
 // readable. Removing a site twice, or one the farm does not host, is a
 // no-op. Site.Close on a farm-hosted site delegates here.
 func (f *Farm) Remove(s *Site) error {
@@ -317,7 +195,7 @@ func (f *Farm) Remove(s *Site) error {
 			}
 		}
 	}
-	if !f.legacy && s.cfg.IP != f.ip {
+	if s.cfg.IP != f.ip {
 		f.aliasRefs[s.cfg.IP]--
 		if f.aliasRefs[s.cfg.IP] <= 0 {
 			delete(f.aliasRefs, s.cfg.IP)
@@ -327,34 +205,17 @@ func (f *Farm) Remove(s *Site) error {
 	f.mu.Unlock()
 	f.gen.Add(1)
 
-	if s.srv != nil || s.fsrv != nil {
-		return s.shutdownServer()
-	}
-	// Close the connections that served the removed site, exactly as
-	// closing a dedicated per-site server would: their goroutines and
-	// ring buffers are released instead of idling until farm Close — at
-	// scenario scale, thousands of retired sites' worth. A client with a
-	// pooled idle connection transparently redials; an in-flight request
-	// observes a reset, the same outcome the legacy path produced.
-	f.connMu.Lock()
-	var stale []net.Conn
-	for c, fc := range f.conns {
-		fc.mu.Lock()
-		if _, ok := fc.shards[s]; ok {
-			stale = append(stale, c)
-		}
-		fc.mu.Unlock()
-	}
-	f.connMu.Unlock()
-	for _, c := range stale {
-		c.Close()
-	}
+	// Close the connections that served the removed site: their
+	// goroutines and ring buffers are released instead of idling until
+	// farm Close — at scenario scale, thousands of retired sites' worth.
+	// A client with a pooled idle connection transparently redials; an
+	// in-flight request observes a reset.
+	f.srv.closeConnsServing(s)
 	return nil
 }
 
-// Close shuts the farm down: the shared listener and server stop (in
-// legacy mode, every remaining per-site server stops) and all sites are
-// removed. Site logs remain readable.
+// Close shuts the farm down: the shared listener and every connection
+// close, and all sites are removed. Site logs remain readable.
 func (f *Farm) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -362,42 +223,12 @@ func (f *Farm) Close() error {
 		return nil
 	}
 	f.closed = true
-	remaining := make([]*Site, 0, len(f.members))
-	for s := range f.members {
-		remaining = append(remaining, s)
-	}
 	f.members = make(map[*Site]bool)
 	f.hosts = make(map[string]*Site)
 	f.aliasRefs = make(map[string]int)
 	f.mu.Unlock()
 	f.gen.Add(1)
-
-	var err error
-	for _, s := range remaining {
-		if cerr := s.shutdownServer(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if f.fsrv != nil {
-		if cerr := f.fsrv.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if f.srv != nil {
-		if cerr := f.srv.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		<-f.done
-	}
-	return err
-}
-
-// dispatch routes one request to the site owning its Host header
-// (stdlib-server entry point; the fast server calls handleReq directly
-// with its per-connection carrier).
-func (f *Farm) dispatch(w http.ResponseWriter, r *http.Request) {
-	fc, _ := r.Context().Value(farmConnKey{}).(*farmConn)
-	f.handleReq(fc, w, r)
+	return f.srv.Close()
 }
 
 // handleReq resolves the request's Host to a site and serves it. The
@@ -407,13 +238,11 @@ func (f *Farm) dispatch(w http.ResponseWriter, r *http.Request) {
 func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 	key := hostKey(r.Host)
 	gen := f.gen.Load()
-	if fc != nil {
-		if m := fc.memo.Load(); m != nil && m.gen == gen && m.key == key {
-			mFarmRequests.Inc()
-			mFarmMemoHits.Inc()
-			m.site.serve(w, r, m.shard)
-			return
-		}
+	if m := fc.memo.Load(); m != nil && m.gen == gen && m.key == key {
+		mFarmRequests.Inc()
+		mFarmMemoHits.Inc()
+		m.site.serve(w, r, m.shard)
+		return
 	}
 	mFarmMemoMisses.Inc()
 	f.mu.RLock()
@@ -428,26 +257,14 @@ func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mFarmRequests.Inc()
-	sh := s.fallback
-	if fc != nil {
-		sh = fc.shardFor(s)
-		fc.memo.Store(&siteMemo{gen: gen, key: key, site: s, shard: sh})
-	}
+	sh := fc.shardFor(s)
+	fc.memo.Store(&siteMemo{gen: gen, key: key, site: s, shard: sh})
 	s.serve(w, r, sh)
 }
 
-// retireConn retires every per-site shard the closed connection
+// retire retires every per-site shard the closed connection
 // accumulated.
-func (f *Farm) retireConn(c net.Conn) {
-	f.connMu.Lock()
-	fc, ok := f.conns[c]
-	if ok {
-		delete(f.conns, c)
-	}
-	f.connMu.Unlock()
-	if !ok {
-		return
-	}
+func (fc *farmConn) retire() {
 	mFarmActiveConns.Add(-1)
 	fc.mu.Lock()
 	shards := fc.shards

@@ -146,9 +146,8 @@ func TestFarmValidationAndDuplicates(t *testing.T) {
 
 // TestFarmRemoveMidRun exercises the scenario-engine lifecycle: sites
 // leave and join while the farm keeps serving, a removed site's alias IP
-// and connections are released (dials are refused, exactly as if its
-// dedicated server closed), its log stays readable, and the host becomes
-// registerable again. A removed site that shared the farm IP instead
+// and connections are released (dials are refused), its log stays
+// readable, and the host becomes registerable again. A removed site that shared the farm IP instead
 // answers 421 — the listener survives, the Host mapping is gone.
 func TestFarmRemoveMidRun(t *testing.T) {
 	nw := netsim.New()
@@ -252,7 +251,7 @@ func TestFarmPerSiteLogOrderDeterministic(t *testing.T) {
 // The stable site must answer every request and log exactly one record
 // per request; churn-site requests may observe 200 or 421, or a
 // transport error when they race a removal (Remove closes the removed
-// site's connections, like closing a dedicated server would).
+// site's connections).
 func TestFarmConcurrentRegisterRemoveVsRequests(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -329,38 +328,6 @@ func TestFarmConcurrentRegisterRemoveVsRequests(t *testing.T) {
 	}
 	if got := len(stable.Log()); got != clients*rounds {
 		t.Fatalf("stable site logged %d records, want %d", got, clients*rounds)
-	}
-}
-
-// TestFarmLegacyKnob flips the compatibility knob and checks the same
-// farm code path hosts each site on a dedicated server with identical
-// observable behaviour — the baseline the parity suites diff against.
-func TestFarmLegacyKnob(t *testing.T) {
-	SetLegacyPerSiteHosting(true)
-	defer SetLegacyPerSiteHosting(false)
-	nw := netsim.New()
-	farm := newFarm(t, nw, "203.0.113.250")
-	a, err := farm.StartSite(WildcardDisallowSite("legacy-a.test", "203.0.113.81"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := farm.StartSite(WildcardDisallowSite("legacy-a.test", "203.0.113.82")); err == nil {
-		t.Fatal("duplicate host must fail in legacy mode too")
-	}
-	client := nw.HTTPClient("198.51.100.96")
-	resp, body := get(t, client, a.URL()+"/robots.txt", "GPTBot/1.0")
-	if resp.StatusCode != 200 || !strings.Contains(body, "User-agent: *") {
-		t.Fatalf("legacy-hosted robots = %d %q", resp.StatusCode, body)
-	}
-	if len(a.Log()) != 1 {
-		t.Fatalf("legacy-hosted log = %d records", len(a.Log()))
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The dedicated listener is gone: dials are refused.
-	if _, err := client.Get(a.URL() + "/robots.txt"); err == nil {
-		t.Fatal("fetch after legacy-mode removal must fail (listener closed)")
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 // The server half of the netsim-native HTTP fast path (see
 // internal/netsim/fasthttp.go for the client half and the rationale).
 //
-// A fastServer replaces the stock http.Server both hosting modes used:
-// one goroutine per connection runs a read-parse-serve-write loop with
-// per-connection reused request/header/URL structures, an interning
-// table that keeps log strings off the reused read buffer, and a pooled
-// response buffer flushed in a single ring write. Handlers see the same
-// http.ResponseWriter + *http.Request surface as before — Site.serve and
-// Farm dispatch run unchanged — so the fast and stdlib servers are
-// swappable via netsim.SetLegacyNetHTTP.
+// A fastServer serves a Farm's shared listener in place of a stock
+// http.Server: one goroutine per connection runs a read-parse-serve-write
+// loop with per-connection reused request/header/URL structures, an
+// interning table that keeps log strings off the reused read buffer, and
+// a pooled response buffer flushed in a single ring write. Handlers see
+// the standard http.ResponseWriter + *http.Request surface, so Site.serve
+// and blockers are written against net/http types.
 
 const (
 	srvReadBufSize  = 8 * 1024
@@ -42,29 +41,22 @@ var (
 	srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, srvRespBufSize); return &b }}
 )
 
-// fastHooks are the per-connection callbacks a hosting mode plugs into
-// the fast server; carrier is the mode's per-connection state (a
-// *logShard for a dedicated site, a *farmConn for a farm).
-type fastHooks struct {
-	connOpen  func(c net.Conn) any
-	connClose func(c net.Conn, carrier any)
-	serve     func(carrier any, w *fastResponseWriter, r *http.Request)
-}
-
-// fastServer accepts connections and runs one serve loop per conn.
+// fastServer accepts connections on a farm's listener and runs one
+// serve loop per conn. Each live conn maps to its farmConn, the
+// per-connection dispatch memo and log shards.
 type fastServer struct {
-	ln    net.Listener
-	hooks fastHooks
+	ln   net.Listener
+	farm *Farm
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*farmConn
 	closed bool
 
 	wg sync.WaitGroup
 }
 
-func startFastServer(ln net.Listener, hooks fastHooks) *fastServer {
-	fs := &fastServer{ln: ln, hooks: hooks, conns: make(map[net.Conn]struct{})}
+func startFastServer(ln net.Listener, farm *Farm) *fastServer {
+	fs := &fastServer{ln: ln, farm: farm, conns: make(map[net.Conn]*farmConn)}
 	fs.wg.Add(1)
 	go fs.acceptLoop()
 	return fs
@@ -83,16 +75,18 @@ func (fs *fastServer) acceptLoop() {
 			c.Close()
 			return
 		}
-		fs.conns[c] = struct{}{}
+		fc := &farmConn{shards: make(map[*Site]*logShard)}
+		fs.conns[c] = fc
 		fs.mu.Unlock()
+		mFarmActiveConns.Add(1)
 		fs.wg.Add(1)
-		go fs.serveConn(c)
+		go fs.serveConn(c, fc)
 	}
 }
 
 // Close stops the listener and closes every live connection, then waits
-// for the serve loops to retire their log shards — the same quiescence
-// http.Server.Close plus the done-channel wait used to provide.
+// for the serve loops to retire their log shards, so the farm's site
+// logs are final when Close returns.
 func (fs *fastServer) Close() error {
 	fs.mu.Lock()
 	if fs.closed {
@@ -120,16 +114,32 @@ func (fs *fastServer) forget(c net.Conn) {
 	fs.mu.Unlock()
 }
 
+// closeConnsServing closes every live connection that has served s.
+func (fs *fastServer) closeConnsServing(s *Site) {
+	fs.mu.Lock()
+	var stale []net.Conn
+	for c, fc := range fs.conns {
+		fc.mu.Lock()
+		if _, ok := fc.shards[s]; ok {
+			stale = append(stale, c)
+		}
+		fc.mu.Unlock()
+	}
+	fs.mu.Unlock()
+	for _, c := range stale {
+		c.Close()
+	}
+}
+
 // serveConn is the per-connection loop: parse one request, serve it,
 // flush the response, repeat until the peer goes away or framing breaks.
-func (fs *fastServer) serveConn(c net.Conn) {
+func (fs *fastServer) serveConn(c net.Conn, fc *farmConn) {
 	defer fs.wg.Done()
-	carrier := fs.hooks.connOpen(c)
 	st := newSrvConnState(c)
 	defer func() {
 		c.Close()
 		fs.forget(c)
-		fs.hooks.connClose(c, carrier)
+		fc.retire()
 		st.release()
 	}()
 	for {
@@ -137,7 +147,7 @@ func (fs *fastServer) serveConn(c net.Conn) {
 			return
 		}
 		st.w.reset(st.req.Method == http.MethodHead)
-		fs.hooks.serve(carrier, &st.w, &st.req)
+		fs.farm.handleReq(fc, &st.w, &st.req)
 		if err := st.w.finish(c, st.closeAfter); err != nil {
 			return
 		}

@@ -12,9 +12,9 @@ import (
 )
 
 func (f *Farm) connCount() int {
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	return len(f.conns)
+	f.srv.mu.Lock()
+	defer f.srv.mu.Unlock()
+	return len(f.srv.conns)
 }
 
 // TestKeepAliveReuseAfter421 pins that a 421 does not poison a

@@ -6,7 +6,6 @@
 package webserver
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -16,8 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // Page is one servable resource on a site.
@@ -56,9 +53,9 @@ func (f BlockerFunc) Check(r *http.Request) *BlockDecision { return f(r) }
 type Config struct {
 	// Domain registers the site in the network's name service.
 	Domain string
-	// IP is the site's advertised address. Under a Farm the address is a
-	// virtual alias of the farm listener; with per-site hosting it is the
-	// listen address.
+	// IP is the site's advertised address. The farm listener answers it
+	// directly when it equals the farm's own address and through a
+	// virtual IP alias otherwise.
 	IP string
 	// RobotsTxt is served at /robots.txt; nil means the site has no
 	// robots.txt (404).
@@ -71,9 +68,9 @@ type Config struct {
 }
 
 // Validate reports whether the config can be hosted: a non-empty domain
-// and a parseable, non-empty IP. Hosting entry points (Start and
-// Farm.StartSite) apply it before touching the network, so a bad config
-// fails with a clear error instead of a half-registered site.
+// and a parseable, non-empty IP. Farm.StartSite applies it before
+// touching the network, so a bad config fails with a clear error instead
+// of a half-registered site.
 func (cfg Config) Validate() error {
 	if cfg.Domain == "" {
 		return fmt.Errorf("webserver: site host (Domain) must not be empty")
@@ -112,142 +109,40 @@ type seqRecord struct {
 	rec Record
 }
 
-// shardKey carries a connection's logShard through the request context.
-type shardKey struct{}
-
-// Site is a running instrumented website. It is hosted either by a Farm
-// (virtual-host dispatch on the farm's shared listener) or by a dedicated
-// per-site server (the legacy Start path); the measurement surface —
-// request log, runtime policy swaps — is identical in both modes.
+// Site is a running instrumented website, hosted by a Farm: requests
+// reach it by virtual-host dispatch on the farm's shared listener. Its
+// measurement surface is the request log and runtime policy swaps.
 type Site struct {
-	cfg Config
+	cfg  Config
+	farm *Farm
 
 	mu sync.Mutex // guards cfg mutations (robots, blocker, pages)
 
-	// farm is set when the site is hosted by a Farm; srv/ln/done (stdlib
-	// stack) or fsrv (fast path) are set when the site runs its own
-	// server. Exactly one hosting mode is active.
-	farm *Farm
-	srv  *http.Server
-	fsrv *fastServer
-	ln   net.Listener
-	done chan struct{}
-
 	logSeq   atomic.Uint64
 	shardsMu sync.Mutex
-	shards   []*logShard
-	// connShards maps live connections to their shards so records can be
-	// folded into fallback when a connection closes, keeping the shard
-	// list proportional to live connections rather than total churn.
-	// Farm-hosted sites track shards per (connection, site) in the farm's
-	// carrier instead.
-	connShards map[net.Conn]*logShard
-	fallback   *logShard // for requests without a connection shard
+	shards   []*logShard // one per live (connection, site) pair, plus fallback
+	fallback *logShard   // records of retired connections
 
-	// hits counts requests served by this site across both hosting
-	// modes. Site cardinality is unbounded, so this stays a plain
-	// per-site atomic (see Hits) rather than an obs registry entry.
+	// hits counts requests served by this site. Site cardinality is
+	// unbounded, so this stays a plain per-site atomic (see Hits) rather
+	// than an obs registry entry.
 	hits atomic.Uint64
 }
 
 // Hits returns the number of requests this site has served.
 func (s *Site) Hits() uint64 { return s.hits.Load() }
 
-// newSite builds the log machinery shared by both hosting modes.
-func newSite(cfg Config) *Site {
-	s := &Site{cfg: cfg}
+// newSite builds a site's log machinery.
+func newSite(cfg Config, farm *Farm) *Site {
+	s := &Site{cfg: cfg, farm: farm}
 	s.fallback = &logShard{}
 	s.shards = []*logShard{s.fallback}
 	return s
 }
 
-// Start hosts the site on its own dedicated listener at cfg.IP:80 and
-// registers cfg.Domain.
-//
-// This is the legacy single-site hosting path: every call costs a
-// listener, an accept-loop goroutine, and an http.Server. Surveys and
-// simulations that stand up many sites on one network should use a Farm,
-// which hosts any number of sites behind one listener; Start remains for
-// single-site uses and as the reference implementation the farm parity
-// tests compare against.
-func Start(nw *netsim.Network, cfg Config) (*Site, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ln, err := nw.Listen(cfg.IP, 80)
-	if err != nil {
-		return nil, fmt.Errorf("webserver: %w", err)
-	}
-	nw.Register(cfg.Domain, cfg.IP)
-	s := newSite(cfg)
-	s.ln = ln
-	s.connShards = make(map[net.Conn]*logShard)
-	if !netsim.LegacyNetHTTP() {
-		// Fast path: the hand-rolled per-connection serve loop. The shard
-		// lifecycle matches the stdlib branch exactly — one shard per
-		// connection, registered on open, retired on close.
-		s.fsrv = startFastServer(ln, fastHooks{
-			connOpen: func(c net.Conn) any {
-				sh := &logShard{}
-				s.shardsMu.Lock()
-				s.shards = append(s.shards, sh)
-				s.connShards[c] = sh
-				s.shardsMu.Unlock()
-				return sh
-			},
-			connClose: func(c net.Conn, _ any) { s.retireShard(c) },
-			serve: func(carrier any, w *fastResponseWriter, r *http.Request) {
-				s.serve(w, r, carrier.(*logShard))
-			},
-		})
-		return s, nil
-	}
-	s.done = make(chan struct{})
-	s.srv = &http.Server{
-		Handler: http.HandlerFunc(s.handle),
-		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
-			sh := &logShard{}
-			s.shardsMu.Lock()
-			s.shards = append(s.shards, sh)
-			s.connShards[c] = sh
-			s.shardsMu.Unlock()
-			return context.WithValue(ctx, shardKey{}, sh)
-		},
-		ConnState: func(c net.Conn, st http.ConnState) {
-			if st == http.StateClosed || st == http.StateHijacked {
-				s.retireShard(c)
-			}
-		},
-	}
-	go func() {
-		defer close(s.done)
-		s.srv.Serve(ln)
-	}()
-	return s, nil
-}
-
-// Close stops the site. A farm-hosted site is removed from its farm (its
-// log stays readable); a self-hosted site shuts down its server.
-func (s *Site) Close() error {
-	if s.farm != nil {
-		return s.farm.Remove(s)
-	}
-	return s.shutdownServer()
-}
-
-// shutdownServer stops whichever dedicated server stack (fast or stdlib)
-// hosts the site; a no-op for farm-hosted sites, which have neither.
-func (s *Site) shutdownServer() error {
-	if s.fsrv != nil {
-		return s.fsrv.Close()
-	}
-	if s.srv == nil {
-		return nil
-	}
-	err := s.srv.Close()
-	<-s.done
-	return err
-}
+// Close removes the site from its farm (see Farm.Remove); its log stays
+// readable.
+func (s *Site) Close() error { return s.farm.Remove(s) }
 
 // Domain returns the site's registered name.
 func (s *Site) Domain() string { return s.cfg.Domain }
@@ -269,20 +164,8 @@ func (s *Site) SetBlocker(b Blocker) {
 	s.cfg.Blocker = b
 }
 
-// handle serves a request on the legacy per-site server, resolving the
-// connection's log shard from the request context.
-func (s *Site) handle(w http.ResponseWriter, r *http.Request) {
-	sh, _ := r.Context().Value(shardKey{}).(*logShard)
-	if sh == nil {
-		sh = s.fallback
-	}
-	s.serve(w, r, sh)
-}
-
 // serve answers one request and appends its record to the given log
-// shard. Both hosting modes funnel here, which is what keeps the
-// observable site behaviour — responses, blocking, log contents —
-// independent of how the site is hosted.
+// shard.
 func (s *Site) serve(w http.ResponseWriter, r *http.Request, sh *logShard) {
 	s.hits.Add(1)
 	s.mu.Lock()
@@ -393,25 +276,11 @@ func (s *Site) addShard(sh *logShard) {
 	s.shardsMu.Unlock()
 }
 
-// retireShard resolves a closed legacy-server connection to its shard
-// and retires it.
-func (s *Site) retireShard(c net.Conn) {
-	s.shardsMu.Lock()
-	sh, ok := s.connShards[c]
-	if ok {
-		delete(s.connShards, c)
-	}
-	s.shardsMu.Unlock()
-	if ok {
-		s.retire(sh)
-	}
-}
-
 // retire folds a closed connection's records into the fallback shard and
 // drops the shard, so the shard list tracks live connections instead of
-// growing with every connection the site ever served. The serve loop has
-// exited by the time ConnState reports StateClosed, so no handler can
-// still be appending to the shard. The whole move happens under shardsMu
+// growing with every connection the site ever served. The connection's
+// serve loop has exited by the time the farm retires it, so no handler
+// can still be appending to the shard. The whole move happens under shardsMu
 // so LogSince (which reads under the same lock) can never see the
 // drained shard alongside the pre-merge fallback.
 func (s *Site) retire(sh *logShard) {

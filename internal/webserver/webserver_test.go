@@ -3,6 +3,7 @@ package webserver
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,10 +14,19 @@ import (
 
 func get(t *testing.T, client *http.Client, url, ua string) (*http.Response, string) {
 	t.Helper()
+	return fetch(t, client, url, ua, false)
+}
+
+// fetch is get with an optional Connection: close, which makes both the
+// client and the farm drop the connection after the response, so the
+// next request dials afresh.
+func fetch(t *testing.T, client *http.Client, url, ua string, closeConn bool) (*http.Response, string) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Close = closeConn
 	if ua != "" {
 		req.Header.Set("User-Agent", ua)
 	}
@@ -29,9 +39,21 @@ func get(t *testing.T, client *http.Client, url, ua string) (*http.Response, str
 	return resp, string(body)
 }
 
+// startSite hosts cfg alone on a fresh farm listening at cfg.IP; the
+// farm closes with the test.
+func startSite(t *testing.T, nw *netsim.Network, cfg Config) (*Site, error) {
+	t.Helper()
+	farm, err := NewFarm(nw, cfg.IP)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { farm.Close() })
+	return farm.StartSite(cfg)
+}
+
 func TestSiteServesContentAndLogs(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("art.test", "203.0.113.1"))
+	site, err := startSite(t, nw, WildcardDisallowSite("art.test", "203.0.113.1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +99,7 @@ func TestSiteServesContentAndLogs(t *testing.T) {
 func TestNoRobotsSite(t *testing.T) {
 	nw := netsim.New()
 	cfg := Config{Domain: "bare.test", IP: "203.0.113.2", Pages: ContentPages("bare.test")}
-	site, err := Start(nw, cfg)
+	site, err := startSite(t, nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +113,7 @@ func TestNoRobotsSite(t *testing.T) {
 
 func TestSetRobotsAtRuntime(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, Config{Domain: "dyn.test", IP: "203.0.113.3",
+	site, err := startSite(t, nw, Config{Domain: "dyn.test", IP: "203.0.113.3",
 		Pages: ContentPages("dyn.test")})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +141,7 @@ func TestBlockerScreensRequests(t *testing.T) {
 		}
 		return nil
 	})
-	site, err := Start(nw, cfg)
+	site, err := startSite(t, nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +166,7 @@ func TestBlockerScreensRequests(t *testing.T) {
 
 func TestRequestsMatchingAndObservedAgents(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("obs.test", "203.0.113.5"))
+	site, err := startSite(t, nw, WildcardDisallowSite("obs.test", "203.0.113.5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +197,13 @@ func TestPerAgentDisallowSiteRobots(t *testing.T) {
 
 func TestStartValidation(t *testing.T) {
 	nw := netsim.New()
-	if _, err := Start(nw, Config{IP: "1.2.3.4"}); err == nil {
+	if _, err := startSite(t, nw, Config{IP: "1.2.3.4"}); err == nil {
 		t.Fatal("missing domain must fail")
 	}
-	if _, err := Start(nw, Config{Domain: "x.test"}); err == nil {
+	if _, err := startSite(t, nw, Config{Domain: "x.test"}); err == nil {
 		t.Fatal("missing IP must fail")
 	}
-	if _, err := Start(nw, Config{Domain: "x.test", IP: "bogus"}); err == nil {
+	if _, err := startSite(t, nw, Config{Domain: "x.test", IP: "bogus"}); err == nil {
 		t.Fatal("bad IP must fail")
 	}
 }
@@ -208,7 +230,7 @@ func TestLogOrderingDeterministicPerConnection(t *testing.T) {
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html", "/missing", "/robots.txt"}
 	capture := func() []Record {
 		nw := netsim.New()
-		site, err := Start(nw, WildcardDisallowSite("order.test", "203.0.113.7"))
+		site, err := startSite(t, nw, WildcardDisallowSite("order.test", "203.0.113.7"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,16 +265,46 @@ func TestLogOrderingDeterministicPerConnection(t *testing.T) {
 	}
 }
 
-// TestLogSurvivesConnectionChurn forces a fresh connection per request
-// (the legacy transport) so every request's shard is retired when its
-// connection closes, and asserts the merged log still holds every record
-// in issue order — retirement must move records, never drop or reorder
-// them.
+// portRecorder is a pass-through Blocker that records the remote port
+// of every request, showing which requests shared a connection.
+type portRecorder struct {
+	mu    sync.Mutex
+	ports []string
+}
+
+func (p *portRecorder) Check(r *http.Request) *BlockDecision {
+	_, port, _ := net.SplitHostPort(r.RemoteAddr)
+	p.mu.Lock()
+	p.ports = append(p.ports, port)
+	p.mu.Unlock()
+	return nil
+}
+
+// requireFresh fails unless every request arrived on its own connection.
+func (p *portRecorder) requireFresh(t *testing.T, requests int) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	seen := map[string]bool{}
+	for _, port := range p.ports {
+		seen[port] = true
+	}
+	if len(p.ports) != requests || len(seen) != requests {
+		t.Fatalf("%d requests arrived on %d distinct ports, want %d fresh connections",
+			len(p.ports), len(seen), requests)
+	}
+}
+
+// TestLogSurvivesConnectionChurn closes the connection after every
+// request, so every request's shard is retired when its connection
+// closes, and asserts the merged log still holds every record in issue
+// order — retirement must move records, never drop or reorder them.
 func TestLogSurvivesConnectionChurn(t *testing.T) {
-	netsim.SetLegacyPerRequestDial(true)
-	defer netsim.SetLegacyPerRequestDial(false)
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("churn.test", "203.0.113.9"))
+	cfg := WildcardDisallowSite("churn.test", "203.0.113.9")
+	conns := &portRecorder{}
+	cfg.Blocker = conns
+	site, err := startSite(t, nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +314,11 @@ func TestLogSurvivesConnectionChurn(t *testing.T) {
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html"}
 	for round := 0; round < 5; round++ {
 		for _, p := range paths {
-			get(t, client, site.URL()+p, "GPTBot/1.0")
+			fetch(t, client, site.URL()+p, "GPTBot/1.0", true)
 			want = append(want, p)
 		}
 	}
+	conns.requireFresh(t, len(want))
 	log := site.Log()
 	if len(log) != len(want) {
 		t.Fatalf("logged %d records, want %d", len(log), len(want))
@@ -283,7 +336,7 @@ func TestLogSurvivesConnectionChurn(t *testing.T) {
 // even though the interleaving across clients is unspecified.
 func TestLogOrderingConcurrentClientsPreserved(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("interleave.test", "203.0.113.8"))
+	site, err := startSite(t, nw, WildcardDisallowSite("interleave.test", "203.0.113.8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +399,11 @@ func newTestNetwork(t *testing.T) *netsim.Network {
 // of Log(), including across connection churn that retires shards into
 // the sorted fallback.
 func TestLogSinceIncrementalWindows(t *testing.T) {
-	netsim.SetLegacyPerRequestDial(true)
-	defer netsim.SetLegacyPerRequestDial(false)
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("since.test", "203.0.113.12"))
+	cfg := WildcardDisallowSite("since.test", "203.0.113.12")
+	conns := &portRecorder{}
+	cfg.Blocker = conns
+	site, err := startSite(t, nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +418,7 @@ func TestLogSinceIncrementalWindows(t *testing.T) {
 	var allWindows []Record
 	for round := 0; round < 6; round++ {
 		for i := 0; i <= round%len(paths); i++ {
-			get(t, client, site.URL()+paths[i], "GPTBot/1.0")
+			fetch(t, client, site.URL()+paths[i], "GPTBot/1.0", true)
 		}
 		next := site.LogLen()
 		window := site.LogSince(mark)
@@ -374,6 +428,7 @@ func TestLogSinceIncrementalWindows(t *testing.T) {
 		allWindows = append(allWindows, window...)
 		mark = next
 	}
+	conns.requireFresh(t, len(allWindows))
 	full := site.Log()
 	if len(full) != len(allWindows) {
 		t.Fatalf("windows cover %d records, full log has %d", len(allWindows), len(full))
@@ -392,7 +447,7 @@ func TestLogSinceIncrementalWindows(t *testing.T) {
 // taken after concurrent traffic equals the suffix of the full log.
 func TestLogSinceAcrossConcurrentClients(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("since2.test", "203.0.113.13"))
+	site, err := startSite(t, nw, WildcardDisallowSite("since2.test", "203.0.113.13"))
 	if err != nil {
 		t.Fatal(err)
 	}
